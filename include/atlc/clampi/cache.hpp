@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "atlc/clampi/config.hpp"
@@ -54,8 +53,9 @@ class Cache {
 
   /// Store a payload after a miss fetch. `user_score` is consulted only
   /// under VictimPolicy::UserScore (paper Section III-B2: degree centrality
-  /// for C_adj). May evict (possibly several) entries; returns false iff
-  /// the payload exceeds the whole buffer. Inserting a key that is resident
+  /// for C_adj; it must not be NaN). May evict (possibly several) entries;
+  /// returns false iff the payload is empty or exceeds the whole buffer, or
+  /// the admission gate rejects it. Inserting a key that is resident
   /// at the current epoch is a caller error (see contains()); a stale
   /// resident from an older epoch is recycled and replaced.
   bool insert(const Key& key, const void* data, double user_score = 0.0);
@@ -97,12 +97,16 @@ class Cache {
       std::uint64_t num_vertices, double cache_fraction, double alpha = 2.0);
 
  private:
+  using ScoreIndex = std::multimap<double, std::int32_t>;
+
   struct Entry {
     Key key;
     std::uint64_t buf_offset = 0;
     std::uint64_t last_tick = 0;
     std::uint64_t epoch = 0;  ///< window epoch the payload was fetched at
     double user_score = 0.0;
+    ScoreIndex::iterator score_it{};  ///< UserScore: own by_score_ node
+    FreeSpace::TileId tile = FreeSpace::kNoTile;  ///< buffer block
     std::uint32_t slot = 0;
     std::int32_t lru_prev = -1;
     std::int32_t lru_next = -1;
@@ -110,6 +114,7 @@ class Cache {
   };
 
   enum class GoneReason : std::uint8_t {
+    None,  ///< never left, or resident again: classifies as compulsory
     EvictedSpace,
     EvictedConflict,
     Flushed,
@@ -119,6 +124,51 @@ class Cache {
 
   static constexpr std::int32_t kEmpty = -1;
   static constexpr std::int32_t kTombstone = -2;
+
+  /// Hash-table slot: pool index (or kEmpty/kTombstone) and the upper half
+  /// of the key's hash, which a probe compares before touching the pool.
+  struct Slot {
+    std::int32_t idx = kEmpty;
+    std::uint32_t tag = 0;
+  };
+
+  /// Probe sequence of a key: slot (hash + i) % slots for i = 0, 1, ...
+  /// (the hash sum wrapping at 2^64), stepped without a division.
+  class Probe {
+   public:
+    Probe(std::uint64_t hash, std::size_t slots)
+        : sum_(hash), slot_(hash % slots), slots_(slots) {}
+    [[nodiscard]] std::size_t slot() const { return slot_; }
+    void next() {
+      slot_ = (++sum_ == 0 || slot_ + 1 == slots_) ? 0 : slot_ + 1;
+    }
+
+   private:
+    std::uint64_t sum_;
+    std::size_t slot_;
+    std::size_t slots_;
+  };
+
+  /// Miss-classification memory: key hash -> why that key last left the
+  /// cache. Flat open addressing (linear probing, power-of-two capacity,
+  /// grown at half load); entries are overwritten, never erased.
+  class GoneTable {
+   public:
+    [[nodiscard]] GoneReason get(std::uint64_t hash) const;
+    void set(std::uint64_t hash, GoneReason reason);
+    /// Forget why `hash` left (it is resident again), if it ever did.
+    void clear_reason(std::uint64_t hash);
+
+   private:
+    struct Cell {
+      std::uint64_t hash = 0;
+      GoneReason reason = GoneReason::None;
+      bool used = false;
+    };
+    [[nodiscard]] std::size_t locate(std::uint64_t hash) const;
+    std::vector<Cell> cells_;
+    std::size_t used_ = 0;
+  };
 
   /// Returns pool index of the entry holding `key`, or -1.
   std::int32_t find(const Key& key) const;
@@ -135,7 +185,14 @@ class Cache {
   bool make_room(std::uint64_t bytes, double incoming_score);
   /// Victim restricted to live entries in the probe window of `hash_base`.
   std::int32_t pick_victim_in_probe_window(std::uint64_t hash_base);
-  std::int32_t lru_positional_pick(const std::vector<std::int32_t>& candidates);
+  /// Positional pick over candidates_ (ordered least recently used first).
+  std::int32_t lru_positional_pick();
+  /// An entry's victim cost, as stored inline in its buffer tile.
+  [[nodiscard]] double victim_cost(const Entry& e) const {
+    return config_.policy == VictimPolicy::UserScore
+               ? e.user_score
+               : static_cast<double>(e.last_tick);
+  }
   void classify_miss(const Key& key);
   void note_gone(const Key& key, GoneReason reason);
   void maybe_adapt();
@@ -146,15 +203,16 @@ class Cache {
   std::vector<std::byte> buffer_;
   std::vector<Entry> pool_;
   std::vector<std::int32_t> pool_free_;
-  std::vector<std::int32_t> slots_;
+  std::vector<Slot> slots_;
   std::size_t live_entries_ = 0;
   std::int32_t lru_head_ = -1;
   std::int32_t lru_tail_ = -1;
   std::uint64_t tick_ = 0;
   std::uint64_t current_epoch_ = 0;
-  std::multimap<double, std::int32_t> by_score_;  // UserScore policy index
-  std::map<std::uint64_t, std::int32_t> live_by_offset_;  // buffer layout
-  std::unordered_map<std::uint64_t, GoneReason> gone_;  // miss classification
+  ScoreIndex by_score_;  // UserScore policy index
+  GoneTable gone_;  // miss classification
+  std::vector<std::int32_t> candidates_;  // victim-pick scratch
+  std::vector<std::int32_t> victims_;     // make_room phase-2 scratch
   std::uint64_t window_accesses_ = 0;
   std::uint64_t window_conflicts_ = 0;
 };

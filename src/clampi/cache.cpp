@@ -16,22 +16,64 @@ std::uint64_t key_hash(const Key& k) {
   return h;
 }
 
+namespace {
+
+std::uint32_t hash_tag(std::uint64_t hash) {
+  return static_cast<std::uint32_t>(hash >> 32);
+}
+
+}  // namespace
+
+std::size_t Cache::GoneTable::locate(std::uint64_t hash) const {
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t i = hash & mask;
+  while (cells_[i].used && cells_[i].hash != hash) i = (i + 1) & mask;
+  return i;
+}
+
+Cache::GoneReason Cache::GoneTable::get(std::uint64_t hash) const {
+  if (cells_.empty()) return GoneReason::None;
+  return cells_[locate(hash)].reason;  // an unused cell reads None
+}
+
+void Cache::GoneTable::set(std::uint64_t hash, GoneReason reason) {
+  if (2 * (used_ + 1) > cells_.size()) {
+    std::vector<Cell> old(std::max<std::size_t>(64, 2 * cells_.size()));
+    old.swap(cells_);
+    for (const Cell& c : old)
+      if (c.used) cells_[locate(c.hash)] = c;
+  }
+  Cell& c = cells_[locate(hash)];
+  if (!c.used) {
+    c.used = true;
+    c.hash = hash;
+    ++used_;
+  }
+  c.reason = reason;
+}
+
+void Cache::GoneTable::clear_reason(std::uint64_t hash) {
+  if (cells_.empty()) return;
+  Cell& c = cells_[locate(hash)];
+  if (c.used) c.reason = GoneReason::None;
+}
+
 Cache::Cache(CacheConfig config)
     : config_(config),
       free_(config.buffer_bytes),
       buffer_(config.buffer_bytes),
-      slots_(std::max<std::size_t>(1, config.hash_slots), kEmpty) {
+      slots_(std::max<std::size_t>(1, config.hash_slots)) {
   ATLC_CHECK(config_.probe_limit > 0, "probe_limit must be positive");
 }
 
 std::int32_t Cache::find(const Key& key) const {
   const std::uint64_t base = key_hash(key);
-  for (std::size_t i = 0; i < config_.probe_limit; ++i) {
-    const std::size_t s = (base + i) % slots_.size();
-    const std::int32_t idx = slots_[s];
-    if (idx == kEmpty) return -1;
-    if (idx == kTombstone) continue;
-    if (pool_[idx].key == key) return idx;
+  const std::uint32_t tag = hash_tag(base);
+  Probe probe(base, slots_.size());
+  for (std::size_t i = 0; i < config_.probe_limit; ++i, probe.next()) {
+    const Slot& s = slots_[probe.slot()];
+    if (s.idx == kEmpty) return -1;
+    if (s.idx >= 0 && s.tag == tag && pool_[s.idx].key == key) return s.idx;
   }
   return -1;
 }
@@ -62,6 +104,8 @@ void Cache::touch(std::int32_t idx) {
   lru_unlink(idx);
   lru_push_front(idx);
   pool_[idx].last_tick = ++tick_;
+  if (config_.policy == VictimPolicy::LruPositional)
+    free_.set_cost(pool_[idx].tile, victim_cost(pool_[idx]));
 }
 
 bool Cache::lookup(const Key& key, void* dst) {
@@ -91,12 +135,8 @@ bool Cache::lookup(const Key& key, void* dst) {
 }
 
 void Cache::classify_miss(const Key& key) {
-  const auto it = gone_.find(key_hash(key));
-  if (it == gone_.end()) {
-    ++stats_.compulsory_misses;
-    return;
-  }
-  switch (it->second) {
+  switch (gone_.get(key_hash(key))) {
+    case GoneReason::None: ++stats_.compulsory_misses; break;
     case GoneReason::EvictedSpace: ++stats_.capacity_misses; break;
     case GoneReason::EvictedConflict: ++stats_.conflict_misses; break;
     case GoneReason::Flushed: ++stats_.flush_misses; break;
@@ -107,26 +147,17 @@ void Cache::classify_miss(const Key& key) {
 }
 
 void Cache::note_gone(const Key& key, GoneReason reason) {
-  if (config_.classify_misses) gone_[key_hash(key)] = reason;
+  if (config_.classify_misses) gone_.set(key_hash(key), reason);
 }
 
 void Cache::evict(std::int32_t idx, GoneReason reason) {
   Entry& e = pool_[idx];
   ATLC_DCHECK(e.live, "evicting a dead entry");
   note_gone(e.key, reason);
-  slots_[e.slot] = kTombstone;
-  free_.release(e.buf_offset, e.key.bytes);
-  live_by_offset_.erase(e.buf_offset);
+  slots_[e.slot].idx = kTombstone;
+  free_.release(e.tile);
   lru_unlink(idx);
-  if (config_.policy == VictimPolicy::UserScore) {
-    auto [lo, hi] = by_score_.equal_range(e.user_score);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == idx) {
-        by_score_.erase(it);
-        break;
-      }
-    }
-  }
+  if (config_.policy == VictimPolicy::UserScore) by_score_.erase(e.score_it);
   e.live = false;
   pool_free_.push_back(idx);
   --live_entries_;
@@ -135,8 +166,7 @@ void Cache::evict(std::int32_t idx, GoneReason reason) {
   if (reason == GoneReason::Stale) ++stats_.stale_evictions;
 }
 
-std::int32_t Cache::lru_positional_pick(
-    const std::vector<std::int32_t>& candidates) {
+std::int32_t Cache::lru_positional_pick() {
   // Paper / CLaMPI: "LRU weighted on a positional score to limit external
   // fragmentation". Candidate i (0 = least recently used) has base weight i;
   // the merge-benefit ratio of its surroundings subtracts up to half the
@@ -144,18 +174,17 @@ std::int32_t Cache::lru_positional_pick(
   // window/2 colder entries.
   std::int32_t best = -1;
   double best_weight = 0.0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const Entry& e = pool_[candidates[i]];
+  for (std::size_t i = 0; i < candidates_.size(); ++i) {
+    const Entry& e = pool_[candidates_[i]];
     const double benefit =
         e.key.bytes > 0
-            ? std::min(2.0, static_cast<double>(free_.adjacent_free(
-                                e.buf_offset, e.key.bytes)) /
+            ? std::min(2.0, static_cast<double>(free_.adjacent_free(e.tile)) /
                                 static_cast<double>(e.key.bytes))
             : 0.0;
     const double weight = static_cast<double>(i) -
-                          benefit * static_cast<double>(candidates.size()) / 4.0;
+                          benefit * static_cast<double>(candidates_.size()) / 4.0;
     if (best == -1 || weight < best_weight) {
-      best = candidates[i];
+      best = candidates_[i];
       best_weight = weight;
     }
   }
@@ -168,24 +197,24 @@ std::int32_t Cache::pick_victim_global() {
     ATLC_DCHECK(!by_score_.empty(), "score index out of sync");
     return by_score_.begin()->second;  // lowest application score
   }
-  std::vector<std::int32_t> candidates;
-  candidates.reserve(config_.lru_window);
+  candidates_.clear();
   for (std::int32_t it = lru_tail_;
-       it != -1 && candidates.size() < config_.lru_window;
+       it != -1 && candidates_.size() < config_.lru_window;
        it = pool_[it].lru_prev)
-    candidates.push_back(it);
-  return lru_positional_pick(candidates);
+    candidates_.push_back(it);
+  return lru_positional_pick();
 }
 
 std::int32_t Cache::pick_victim_in_probe_window(std::uint64_t hash_base) {
-  std::vector<std::int32_t> candidates;
-  for (std::size_t i = 0; i < config_.probe_limit; ++i) {
-    const std::int32_t idx = slots_[(hash_base + i) % slots_.size()];
-    if (idx >= 0) candidates.push_back(idx);
+  candidates_.clear();
+  Probe probe(hash_base, slots_.size());
+  for (std::size_t i = 0; i < config_.probe_limit; ++i, probe.next()) {
+    const std::int32_t idx = slots_[probe.slot()].idx;
+    if (idx >= 0) candidates_.push_back(idx);
   }
-  if (candidates.empty()) return -1;
+  if (candidates_.empty()) return -1;
   if (config_.policy == VictimPolicy::UserScore) {
-    return *std::min_element(candidates.begin(), candidates.end(),
+    return *std::min_element(candidates_.begin(), candidates_.end(),
                              [&](std::int32_t a, std::int32_t b) {
                                if (pool_[a].user_score != pool_[b].user_score)
                                  return pool_[a].user_score <
@@ -195,11 +224,11 @@ std::int32_t Cache::pick_victim_in_probe_window(std::uint64_t hash_base) {
   }
   // Order candidates oldest-first so positional weighting applies as in the
   // global case.
-  std::sort(candidates.begin(), candidates.end(),
+  std::sort(candidates_.begin(), candidates_.end(),
             [&](std::int32_t a, std::int32_t b) {
               return pool_[a].last_tick < pool_[b].last_tick;
             });
-  return lru_positional_pick(candidates);
+  return lru_positional_pick();
 }
 
 bool Cache::make_room(std::uint64_t bytes, double incoming_score) {
@@ -226,46 +255,19 @@ bool Cache::make_room(std::uint64_t bytes, double incoming_score) {
   // the run-cost is the max entry score inside it, so a run containing a
   // higher-ranked resident is never sacrificed for a lower-ranked newcomer
   // (this is what keeps hub entries from thrashing each other).
-  struct Run {
-    std::vector<std::int32_t> victims;
-    double cost = 0.0;
-  };
-  std::optional<Run> best;
-  std::vector<std::uint64_t> starts;
-  starts.reserve(free_.num_regions() + 1);
-  starts.push_back(0);
-  for (const auto& [off, sz] : free_.regions_by_offset()) starts.push_back(off);
-
-  for (const std::uint64_t start : starts) {
-    std::uint64_t pos = start, span = 0;
-    Run run;
-    bool feasible = true;
-    while (span < bytes) {
-      if (pos >= free_.capacity()) {
-        feasible = false;
-        break;
-      }
-      if (const std::uint64_t fr = free_.region_at(pos)) {
-        span += fr;
-        pos += fr;
-        continue;
-      }
-      const auto it = live_by_offset_.find(pos);
-      ATLC_CHECK(it != live_by_offset_.end(), "cache buffer layout corrupted");
-      const Entry& e = pool_[it->second];
-      run.victims.push_back(it->second);
-      run.cost = std::max(run.cost, config_.policy == VictimPolicy::UserScore
-                                        ? e.user_score
-                                        : static_cast<double>(e.last_tick));
-      span += e.key.bytes;
-      pos += e.key.bytes;
-    }
-    if (feasible && (!best || run.cost < best->cost)) best = std::move(run);
-  }
-  if (!best) return false;
-  if (config_.policy == VictimPolicy::UserScore && best->cost >= incoming_score)
+  const auto run = free_.cheapest_run(bytes);
+  if (!run) return false;
+  if (config_.policy == VictimPolicy::UserScore && run->cost >= incoming_score)
     return false;
-  for (const std::int32_t v : best->victims) evict(v, GoneReason::EvictedSpace);
+  victims_.clear();
+  for (FreeSpace::TileId t = run->first; t != run->end;
+       t = free_.tile(t).next) {
+    const FreeSpace::Tile& tile = free_.tile(t);
+    if (tile.free) continue;
+    ATLC_DCHECK(pool_[tile.owner].tile == t, "cache buffer layout corrupted");
+    victims_.push_back(tile.owner);
+  }
+  for (const std::int32_t v : victims_) evict(v, GoneReason::EvictedSpace);
   return free_.largest_free() >= bytes;
 }
 
@@ -289,10 +291,10 @@ bool Cache::insert(const Key& key, const void* data, double user_score) {
   // 1) Claim a hash slot (may require a conflict eviction).
   const std::uint64_t base = key_hash(key);
   std::int32_t slot = -1;
-  for (std::size_t i = 0; i < config_.probe_limit; ++i) {
-    const std::size_t s = (base + i) % slots_.size();
-    if (slots_[s] == kEmpty || slots_[s] == kTombstone) {
-      slot = static_cast<std::int32_t>(s);
+  Probe probe(base, slots_.size());
+  for (std::size_t i = 0; i < config_.probe_limit; ++i, probe.next()) {
+    if (slots_[probe.slot()].idx < 0) {  // empty or tombstone
+      slot = static_cast<std::int32_t>(probe.slot());
       break;
     }
   }
@@ -314,8 +316,8 @@ bool Cache::insert(const Key& key, const void* data, double user_score) {
   }
 
   // 2) Claim buffer space (may require capacity evictions).
-  std::optional<std::uint64_t> buf_off = free_.allocate(key.bytes);
-  if (!buf_off) {
+  std::optional<FreeSpace::Block> block = free_.allocate(key.bytes);
+  if (!block) {
     // (Any victims evicted below cannot occupy the slot claimed above: we
     // claimed an empty/tombstone slot and evict() only tombstones live
     // slots.)
@@ -324,12 +326,12 @@ bool Cache::insert(const Key& key, const void* data, double user_score) {
       note_gone(key, GoneReason::NeverStored);
       return false;
     }
-    buf_off = free_.allocate(key.bytes);
-    ATLC_CHECK(buf_off.has_value(), "make_room must enable the allocation");
+    block = free_.allocate(key.bytes);
+    ATLC_CHECK(block.has_value(), "make_room must enable the allocation");
   }
 
   // 3) Materialise the entry.
-  std::memcpy(buffer_.data() + *buf_off, data, key.bytes);
+  std::memcpy(buffer_.data() + block->offset, data, key.bytes);
   std::int32_t idx;
   if (!pool_free_.empty()) {
     idx = pool_free_.back();
@@ -340,19 +342,20 @@ bool Cache::insert(const Key& key, const void* data, double user_score) {
   }
   Entry& e = pool_[idx];
   e.key = key;
-  e.buf_offset = *buf_off;
+  e.buf_offset = block->offset;
+  e.tile = block->tile;
   e.last_tick = ++tick_;
   e.epoch = current_epoch_;
   e.user_score = user_score;
   e.slot = static_cast<std::uint32_t>(slot);
   e.live = true;
-  slots_[slot] = idx;
-  live_by_offset_.emplace(*buf_off, idx);
+  slots_[slot] = Slot{idx, hash_tag(base)};
+  free_.set_block(e.tile, idx, victim_cost(e));
   lru_push_front(idx);
   if (config_.policy == VictimPolicy::UserScore)
-    by_score_.emplace(user_score, idx);
+    e.score_it = by_score_.emplace(user_score, idx);
   ++live_entries_;
-  if (config_.classify_misses) gone_.erase(key_hash(key));
+  if (config_.classify_misses) gone_.clear_reason(base);
   return true;
 }
 
@@ -361,9 +364,8 @@ void Cache::flush() {
     note_gone(pool_[it].key, GoneReason::Flushed);
   pool_.clear();
   pool_free_.clear();
-  std::fill(slots_.begin(), slots_.end(), kEmpty);
+  std::fill(slots_.begin(), slots_.end(), Slot{});
   by_score_.clear();
-  live_by_offset_.clear();
   free_.reset();
   live_entries_ = 0;
   lru_head_ = lru_tail_ = -1;
@@ -386,7 +388,7 @@ void Cache::maybe_adapt() {
     // CLaMPI's adaptive strategy: resize the hash table and FLUSH (paper
     // Section III-B1 — this is why good initial sizes matter).
     flush();
-    slots_.assign(slots_.size() * 2, kEmpty);
+    slots_.assign(slots_.size() * 2, Slot{});
     ++stats_.hash_resizes;
   }
 }

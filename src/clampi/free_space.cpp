@@ -1,85 +1,110 @@
 #include "atlc/clampi/free_space.hpp"
 
+#include <algorithm>
+
 #include "atlc/util/check.hpp"
 
 namespace atlc::clampi {
 
-FreeSpace::FreeSpace(std::uint64_t capacity)
-    : capacity_(capacity), total_free_(capacity) {
-  if (capacity > 0) insert_region(0, capacity);
+FreeSpace::FreeSpace(std::uint64_t capacity) : capacity_(capacity) {
+  reset();
 }
 
-void FreeSpace::insert_region(std::uint64_t offset, std::uint64_t bytes) {
-  by_offset_.emplace(offset, bytes);
-  by_size_.emplace(bytes, offset);
-}
-
-void FreeSpace::erase_region(
-    std::map<std::uint64_t, std::uint64_t>::iterator it) {
-  auto [size_lo, size_hi] = by_size_.equal_range(it->second);
-  for (auto s = size_lo; s != size_hi; ++s) {
-    if (s->second == it->first) {
-      by_size_.erase(s);
-      break;
-    }
+FreeSpace::TileId FreeSpace::new_tile() {
+  if (!spare_.empty()) {
+    const TileId id = spare_.back();
+    spare_.pop_back();
+    tiles_[id] = Tile{};
+    return id;
   }
-  by_offset_.erase(it);
+  tiles_.emplace_back();
+  return static_cast<TileId>(tiles_.size() - 1);
 }
 
-std::optional<std::uint64_t> FreeSpace::allocate(std::uint64_t bytes) {
-  if (bytes == 0) return 0;
-  auto fit = by_size_.lower_bound(bytes);  // best fit: smallest region >= bytes
+void FreeSpace::retire_tile(TileId id) {
+  tiles_[id] = Tile{};  // free and unlinked: a second release trips a check
+  spare_.push_back(id);
+}
+
+void FreeSpace::index_free(TileId id) {
+  Tile& t = tiles_[id];
+  t.free = true;
+  t.owner = -1;
+  t.cost = 0.0;
+  t.seq = next_seq_++;
+  // The newest sequence sorts after every region of the same size.
+  const SizeKey key{t.bytes, t.seq, id};
+  by_size_.insert(std::upper_bound(by_size_.begin(), by_size_.end(), key),
+                  key);
+}
+
+void FreeSpace::unindex_free(TileId id) {
+  const Tile& t = tiles_[id];
+  const SizeKey key{t.bytes, t.seq, id};
+  const auto it = std::lower_bound(by_size_.begin(), by_size_.end(), key);
+  ATLC_CHECK(it != by_size_.end() && it->tile == id,
+             "free-region index out of sync");
+  by_size_.erase(it);
+}
+
+std::optional<FreeSpace::Block> FreeSpace::allocate(std::uint64_t bytes) {
+  if (bytes == 0) return Block{};
+  // Best fit: the smallest region >= bytes, earliest inserted among equals.
+  const auto fit = std::lower_bound(
+      by_size_.begin(), by_size_.end(), bytes,
+      [](const SizeKey& k, std::uint64_t b) { return k.bytes < b; });
   if (fit == by_size_.end()) return std::nullopt;
-  const std::uint64_t region_size = fit->first;
-  const std::uint64_t region_off = fit->second;
+  const TileId id = fit->tile;
   by_size_.erase(fit);
-  by_offset_.erase(region_off);
-  if (region_size > bytes)
-    insert_region(region_off + bytes, region_size - bytes);
+  tiles_[id].free = false;
+  if (tiles_[id].bytes > bytes) {
+    // The tail of the region stays free as a new region.
+    const TileId rest = new_tile();
+    Tile& t = tiles_[id];
+    Tile& r = tiles_[rest];
+    r.offset = t.offset + bytes;
+    r.bytes = t.bytes - bytes;
+    r.prev = id;
+    r.next = t.next;
+    if (t.next != kNoTile) tiles_[t.next].prev = rest;
+    t.next = rest;
+    t.bytes = bytes;
+    index_free(rest);
+  }
   total_free_ -= bytes;
-  return region_off;
+  return Block{tiles_[id].offset, id};
 }
 
-void FreeSpace::release(std::uint64_t offset, std::uint64_t bytes) {
-  if (bytes == 0) return;
-  ATLC_CHECK(offset + bytes <= capacity_, "release beyond capacity");
-  std::uint64_t lo = offset, hi = offset + bytes;
-
-  // Coalesce with the following region.
-  auto next = by_offset_.lower_bound(offset);
-  if (next != by_offset_.end() && next->first == hi) {
-    hi += next->second;
-    erase_region(next);
+void FreeSpace::release(TileId id) {
+  if (id == kNoTile) return;  // zero-byte block
+  ATLC_CHECK(id >= 0 && static_cast<std::size_t>(id) < tiles_.size() &&
+                 !tiles_[id].free,
+             "double free detected");
+  total_free_ += tiles_[id].bytes;
+  // Coalesce with the following region, then with the preceding one.
+  if (const TileId n = tiles_[id].next; n != kNoTile && tiles_[n].free) {
+    unindex_free(n);
+    tiles_[id].bytes += tiles_[n].bytes;
+    tiles_[id].next = tiles_[n].next;
+    if (tiles_[n].next != kNoTile) tiles_[tiles_[n].next].prev = id;
+    retire_tile(n);
   }
-  // Coalesce with the preceding region.
-  auto prev = by_offset_.lower_bound(offset);
-  if (prev != by_offset_.begin()) {
-    --prev;
-    ATLC_CHECK(prev->first + prev->second <= offset, "double free detected");
-    if (prev->first + prev->second == offset) {
-      lo = prev->first;
-      erase_region(prev);
-    }
+  if (const TileId p = tiles_[id].prev; p != kNoTile && tiles_[p].free) {
+    unindex_free(p);
+    tiles_[p].bytes += tiles_[id].bytes;
+    tiles_[p].next = tiles_[id].next;
+    if (tiles_[id].next != kNoTile) tiles_[tiles_[id].next].prev = p;
+    retire_tile(id);
+    id = p;
   }
-  insert_region(lo, hi - lo);
-  total_free_ += bytes;
+  index_free(id);
 }
 
-std::uint64_t FreeSpace::largest_free() const {
-  return by_size_.empty() ? 0 : by_size_.rbegin()->first;
-}
-
-std::uint64_t FreeSpace::adjacent_free(std::uint64_t offset,
-                                       std::uint64_t bytes) const {
+std::uint64_t FreeSpace::adjacent_free(TileId id) const {
+  const Tile& t = tiles_[id];
   std::uint64_t adj = 0;
-  auto next = by_offset_.lower_bound(offset + bytes);
-  if (next != by_offset_.end() && next->first == offset + bytes)
-    adj += next->second;
-  auto prev = by_offset_.lower_bound(offset);
-  if (prev != by_offset_.begin()) {
-    --prev;
-    if (prev->first + prev->second == offset) adj += prev->second;
-  }
+  if (t.prev != kNoTile && tiles_[t.prev].free) adj += tiles_[t.prev].bytes;
+  if (t.next != kNoTile && tiles_[t.next].free) adj += tiles_[t.next].bytes;
   return adj;
 }
 
@@ -89,11 +114,61 @@ double FreeSpace::fragmentation() const {
                    static_cast<double>(total_free_);
 }
 
+std::optional<FreeSpace::Run> FreeSpace::cheapest_run(std::uint64_t bytes) {
+  // Window [l, r) of `span` bytes; window_[front..] are its blocks with
+  // strictly decreasing costs, so window_[front] holds the window's maximum.
+  // A later start never needs an earlier end, so r only moves forward.
+  std::optional<Run> best;
+  window_.clear();
+  std::size_t front = 0;
+  std::uint64_t span = 0;
+  std::uint64_t end_offset = 0;  // where tile r must begin
+  TileId l = head_;
+  TileId r = head_;
+  while (l != kNoTile) {
+    while (span < bytes && r != kNoTile) {
+      const Tile& t = tiles_[r];
+      ATLC_CHECK(t.offset == end_offset, "cache buffer layout corrupted");
+      if (!t.free) {
+        while (window_.size() > front && tiles_[window_.back()].cost <= t.cost)
+          window_.pop_back();
+        window_.push_back(r);
+      }
+      span += t.bytes;
+      end_offset += t.bytes;
+      r = t.next;
+    }
+    // A run from l reaches the end of the buffer; so does every later one.
+    if (span < bytes) break;
+    const double cost = window_.size() > front
+                            ? std::max(0.0, tiles_[window_[front]].cost)
+                            : 0.0;
+    if (!best || cost < best->cost) best = Run{l, r, cost};
+    // Advance l to the next free region (the next start).
+    do {
+      if (l == r) {  // empty window: r moves past l with it
+        end_offset += tiles_[r].bytes;
+        r = tiles_[r].next;
+      } else {
+        span -= tiles_[l].bytes;
+        if (window_.size() > front && window_[front] == l) ++front;
+      }
+      l = tiles_[l].next;
+    } while (l != kNoTile && !tiles_[l].free);
+  }
+  return best;
+}
+
 void FreeSpace::reset() {
-  by_offset_.clear();
+  tiles_.clear();
+  spare_.clear();
   by_size_.clear();
+  head_ = kNoTile;
   total_free_ = capacity_;
-  if (capacity_ > 0) insert_region(0, capacity_);
+  if (capacity_ == 0) return;
+  head_ = new_tile();
+  tiles_[head_].bytes = capacity_;
+  index_free(head_);
 }
 
 }  // namespace atlc::clampi

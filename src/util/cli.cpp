@@ -61,15 +61,12 @@ bool Cli::parse(int argc, char** argv) {
       name = std::string(arg);
       auto it = entries_.find(name);
       const bool is_flag = it != entries_.end() && it->second.kind == Kind::Flag;
-      if (is_flag) {
-        value = "1";
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
+      if (!is_flag && i + 1 >= argc) {
         std::fprintf(stderr, "%s: flag --%s expects a value\n",
                      program_.c_str(), name.c_str());
         return false;
       }
+      value = is_flag ? std::string("1") : std::string(argv[++i]);
     }
     if (!set(name, value)) {
       print_usage();

@@ -30,7 +30,7 @@ TEST(FreeSpace, AllocateAndReleaseRoundTrip) {
   const auto a = fs.allocate(100);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(fs.total_free(), 924u);
-  fs.release(*a, 100);
+  fs.release(a->tile);
   EXPECT_EQ(fs.total_free(), 1024u);
   EXPECT_EQ(fs.num_regions(), 1u);  // coalesced back to one region
 }
@@ -41,12 +41,12 @@ TEST(FreeSpace, BestFitPrefersSmallestFittingRegion) {
   const auto b = fs.allocate(50);   // [100,150)
   const auto c = fs.allocate(200);  // [150,350)
   ASSERT_TRUE(a && b && c);
-  fs.release(*a, 100);  // free: [0,100)
-  fs.release(*c, 200);  // free: [150,350) and tail [350,1000)
+  fs.release(a->tile);  // free: [0,100)
+  fs.release(c->tile);  // free: [150,350) and tail [350,1000)
   // A 90-byte request best-fits the 100-byte hole, not the 200-byte one.
   const auto d = fs.allocate(90);
   ASSERT_TRUE(d);
-  EXPECT_EQ(*d, 0u);
+  EXPECT_EQ(d->offset, 0u);
 }
 
 TEST(FreeSpace, CoalescesBothSides) {
@@ -55,10 +55,10 @@ TEST(FreeSpace, CoalescesBothSides) {
   const auto b = fs.allocate(100);
   const auto c = fs.allocate(100);
   ASSERT_TRUE(a && b && c);
-  fs.release(*a, 100);
-  fs.release(*c, 100);
+  fs.release(a->tile);
+  fs.release(c->tile);
   EXPECT_EQ(fs.num_regions(), 2u);
-  fs.release(*b, 100);  // merges with both neighbors
+  fs.release(b->tile);  // merges with both neighbors
   EXPECT_EQ(fs.num_regions(), 1u);
   EXPECT_EQ(fs.largest_free(), 300u);
 }
@@ -69,8 +69,8 @@ TEST(FreeSpace, ExternalFragmentationBlocksLargeAlloc) {
   const auto b = fs.allocate(100);
   const auto c = fs.allocate(100);
   ASSERT_TRUE(a && b && c);
-  fs.release(*a, 100);
-  fs.release(*c, 100);
+  fs.release(a->tile);
+  fs.release(c->tile);
   // 200 bytes free in total, but no single 150-byte region.
   EXPECT_EQ(fs.total_free(), 200u);
   EXPECT_FALSE(fs.allocate(150).has_value());
@@ -82,9 +82,9 @@ TEST(FreeSpace, AdjacentFreeMeasuresMergeBenefit) {
   const auto a = fs.allocate(100);
   const auto b = fs.allocate(100);
   ASSERT_TRUE(a && b);
-  fs.release(*a, 100);
+  fs.release(a->tile);
   // Entry b ([100,200)) has 100 free bytes before it and 100 after.
-  EXPECT_EQ(fs.adjacent_free(*b, 100), 200u);
+  EXPECT_EQ(fs.adjacent_free(b->tile), 200u);
 }
 
 TEST(FreeSpace, ZeroByteAllocSucceeds) {
@@ -99,6 +99,83 @@ TEST(FreeSpace, ResetRestoresSingleRegion) {
   fs.reset();
   EXPECT_EQ(fs.total_free(), 128u);
   EXPECT_EQ(fs.num_regions(), 1u);
+}
+
+// The tie-breaks below decide which entries make_room evicts, so every
+// virtual-time result depends on them; the flat layout must keep them.
+
+TEST(FreeSpace, BestFitAmongEqualSizesPicksEarliestInserted) {
+  FreeSpace fs(1000);
+  const auto a = fs.allocate(100);  // [0,100)
+  (void)fs.allocate(10);            // separator
+  (void)fs.allocate(100);           // [110,210)
+  (void)fs.allocate(10);            // separator
+  const auto c = fs.allocate(100);  // [220,320)
+  (void)fs.allocate(10);            // separator; tail [330,1000) stays free
+  ASSERT_TRUE(a && c);
+  fs.release(c->tile);  // inserted first
+  fs.release(a->tile);  // same size, inserted second, lower address
+  const auto first = fs.allocate(100);
+  const auto second = fs.allocate(100);
+  ASSERT_TRUE(first && second);
+  EXPECT_EQ(first->offset, 220u);
+  EXPECT_EQ(second->offset, 0u);
+}
+
+TEST(FreeSpaceRun, EqualCostsPickEarliestStart) {
+  // [0,100) cost 9 | free 50 | [150,250) cost 3 | free 50 | [300,400) cost 3
+  FreeSpace fs(400);
+  const auto a = fs.allocate(100);
+  const auto x = fs.allocate(50);
+  const auto b = fs.allocate(100);
+  const auto y = fs.allocate(50);
+  const auto c = fs.allocate(100);
+  ASSERT_TRUE(a && x && b && y && c);
+  fs.set_block(a->tile, 0, 9.0);
+  fs.set_block(b->tile, 1, 3.0);
+  fs.set_block(c->tile, 2, 3.0);
+  fs.release(x->tile);
+  fs.release(y->tile);
+  // Starts 100 and 250 both cost 3 for 150 bytes: the lower one wins.
+  const auto run = fs.cheapest_run(150);
+  ASSERT_TRUE(run);
+  EXPECT_EQ(fs.tile(run->first).offset, 100u);
+  EXPECT_EQ(run->end, y->tile);  // the free region after [150,250)
+  EXPECT_EQ(run->cost, 3.0);
+}
+
+TEST(FreeSpaceRun, RunReachingBufferEndIsInfeasible) {
+  // [0,100) cost 7 | [100,200) cost 7 | [200,250) cost 1 | free [250,300)
+  FreeSpace fs(300);
+  const auto a = fs.allocate(100);
+  const auto b = fs.allocate(100);
+  const auto c = fs.allocate(50);
+  ASSERT_TRUE(a && b && c);
+  fs.set_block(a->tile, 0, 7.0);
+  fs.set_block(b->tile, 1, 7.0);
+  fs.set_block(c->tile, 2, 1.0);
+  // The free tail would cost 0 but holds only 50 bytes before the end.
+  const auto run = fs.cheapest_run(120);
+  ASSERT_TRUE(run);
+  EXPECT_EQ(fs.tile(run->first).offset, 0u);
+  EXPECT_EQ(run->cost, 7.0);
+  EXPECT_FALSE(fs.cheapest_run(301).has_value());
+}
+
+TEST(FreeSpaceRun, OffsetZeroIsAStartEvenWhenOccupied) {
+  // [0,100) cost 1 | free [100,150) | [150,300) cost 8
+  FreeSpace fs(300);
+  const auto a = fs.allocate(100);
+  const auto x = fs.allocate(50);
+  const auto b = fs.allocate(150);
+  ASSERT_TRUE(a && x && b);
+  fs.set_block(a->tile, 0, 1.0);
+  fs.set_block(b->tile, 1, 8.0);
+  fs.release(x->tile);
+  const auto run = fs.cheapest_run(150);
+  ASSERT_TRUE(run);
+  EXPECT_EQ(run->first, a->tile);
+  EXPECT_EQ(run->cost, 1.0);
 }
 
 // ------------------------------------------------------------- Cache core ---
@@ -445,6 +522,37 @@ TEST(CacheRunEviction, LruPolicyStillAdmitsLargeEntries) {
   std::vector<std::byte> out(900);
   EXPECT_TRUE(cache.lookup(key_of(3, 0, 900), out.data()));
   EXPECT_EQ(out, big);
+}
+
+TEST(CacheRunEviction, RunCostEqualToIncomingScoreIsRejected) {
+  // 32 entries of 32 bytes alternate scores 1 and 5. A 512-byte newcomer
+  // makes phase 1 evict the sixteen score-1 entries, which leaves 32-byte
+  // holes between score-5 entries, so every contiguous run costs 5.
+  auto fill = [](Cache& cache) {
+    const auto small = payload(32, 1);
+    for (std::uint32_t i = 0; i < 32; ++i)
+      ASSERT_TRUE(cache.insert(key_of(0, i * 32, 32), small.data(),
+                               i % 2 == 0 ? 1.0 : 5.0));
+    ASSERT_EQ(cache.num_entries(), 32u);
+  };
+  CacheConfig cfg;
+  cfg.buffer_bytes = 1024;
+  cfg.hash_slots = 1024;
+  cfg.policy = VictimPolicy::UserScore;
+  const auto big = payload(512, 9);
+
+  Cache equal(cfg);
+  fill(equal);
+  // Cost 5 against an incoming score of 5: admission denied (>=).
+  EXPECT_FALSE(equal.insert(key_of(7, 0, 512), big.data(), 5.0));
+  EXPECT_EQ(equal.stats().admission_rejects, 1u);
+  EXPECT_EQ(equal.stats().evictions_space, 16u);
+  EXPECT_EQ(equal.num_entries(), 16u);
+
+  Cache above(cfg);
+  fill(above);
+  EXPECT_TRUE(above.insert(key_of(7, 0, 512), big.data(), 5.5));
+  EXPECT_EQ(above.stats().admission_rejects, 0u);
 }
 
 // --------------------------------------------------------- CachedWindow ---
